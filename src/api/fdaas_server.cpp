@@ -62,7 +62,6 @@ FdaasServer::FdaasServer(shard::ShardedMonitorService& service, Params params)
       loop_(std::make_unique<net::EventLoop>(std::uint16_t{0})),
       commands_(256) {
   TWFD_CHECK_MSG(params_.lease > 0, "lease must be positive");
-  TWFD_CHECK_MSG(params_.poll_interval > 0, "poll_interval must be positive");
   if (params_.registry != nullptr) init_obs();
 }
 
@@ -156,10 +155,12 @@ bool FdaasServer::send_delegate(std::uint64_t child_node, DelegateMsg msg) {
 }
 
 void FdaasServer::worker_main() {
-  loop_->set_wake_handler([this] { drain_commands(); });
+  loop_->set_wake_handler([this] { on_wake(); });
   loop_->watch_fd(listener_.fd(), net::kFdRead,
                   [this](unsigned) { on_accept(); });
-  arm_poll_timer();
+  // Shards wake this loop when transitions are queued; on_wake drains
+  // them. Registration kicks one wake for events queued before start().
+  service_.set_event_notifier([this] { loop_->wake(); });
   arm_lease_timer();
   if (adapter_ != nullptr) arm_fed_flush_timer();
   if (persistence_enabled() && params_.snapshot_interval > 0) arm_snapshot_timer();
@@ -167,6 +168,7 @@ void FdaasServer::worker_main() {
   while (!stop_requested_.load(std::memory_order_acquire)) {
     loop_->run_until(kTickInfinity);
   }
+  service_.set_event_notifier({});
 
   // Teardown (single-threaded: the loop no longer runs). The final
   // snapshot is flushed FIRST: close_session releases every client
@@ -181,10 +183,19 @@ void FdaasServer::worker_main() {
   for (const auto& [sid, s] : sessions_) sids.push_back(sid);
   for (const std::uint64_t sid : sids) close_session(sid);
   loop_->unwatch_fd(listener_.fd());
-  loop_->cancel(poll_timer_);
   loop_->cancel(lease_timer_);
   if (fed_flush_timer_ != kInvalidTimer) loop_->cancel(fed_flush_timer_);
   if (snapshot_timer_ != kInvalidTimer) loop_->cancel(snapshot_timer_);
+}
+
+void FdaasServer::on_wake() {
+  drain_commands();
+  // The API thread is the only consumer that delivers: a subscription
+  // enters sub_owner_ on this thread before any wake pass can drain an
+  // event for it.
+  service_.poll_events(
+      [this](const shard::ShardedMonitorService::StatusEvent& e) { deliver(e); });
+  refresh_obs();
 }
 
 void FdaasServer::drain_commands() {
@@ -218,17 +229,6 @@ void FdaasServer::post(Command cmd) {
   loop_->wake();
 }
 
-void FdaasServer::arm_poll_timer() {
-  poll_timer_ = loop_->schedule_at(loop_->now() + params_.poll_interval, [this] {
-    service_.poll_events(
-        [this](const shard::ShardedMonitorService::StatusEvent& e) {
-          deliver(e);
-        });
-    refresh_obs();
-    arm_poll_timer();
-  });
-}
-
 void FdaasServer::arm_fed_flush_timer() {
   // Half the adapter's flush interval: the core's own due() gate keeps
   // the actual emission cadence at flush_interval, while the finer
@@ -242,6 +242,7 @@ void FdaasServer::arm_fed_flush_timer() {
       stats_.digest_frames_flushed += frames.size();
       if (upstream_sink_) upstream_sink_(std::move(frames));
     }
+    refresh_obs();
     arm_fed_flush_timer();
   });
 }
@@ -251,6 +252,7 @@ void FdaasServer::arm_lease_timer() {
   lease_timer_ = loop_->schedule_at(loop_->now() + period, [this] {
     expire_leases();
     sweep_orphans();
+    refresh_obs();
     arm_lease_timer();
   });
 }
@@ -261,6 +263,7 @@ void FdaasServer::arm_snapshot_timer() {
   snapshot_timer_ =
       loop_->schedule_at(loop_->now() + params_.snapshot_interval, [this] {
         save_snapshot();
+        refresh_obs();
         arm_snapshot_timer();
       });
 }
@@ -381,18 +384,8 @@ std::uint64_t FdaasServer::try_claim_orphan(const SubscribeRequest& sub) {
 
   // The orphan's current view verdict — primed at restore, possibly
   // flipped since by a live transition — is the client's starting point.
-  detect::Output out = orphan.seed.last;
-  Tick since = orphan.seed.since;
-  const auto view = service_.view();
-  const auto entry = std::lower_bound(
-      view->entries.begin(), view->entries.end(), orphan.gid,
-      [](const shard::ShardedMonitorService::Snapshot::Entry& e, std::uint64_t id) {
-        return e.subscription < id;
-      });
-  if (entry != view->entries.end() && entry->subscription == orphan.gid) {
-    out = entry->output;
-    since = entry->since;
-  }
+  const auto current = service_.verdict(orphan.gid).value_or(
+      shard::ShardedMonitorService::Verdict{orphan.seed.last, orphan.seed.since});
 
   // Create the client's subscription FIRST (under the client's QoS,
   // which may differ from the persisted tuple), then retire the orphan:
@@ -400,8 +393,8 @@ std::uint64_t FdaasServer::try_claim_orphan(const SubscribeRequest& sub) {
   // warm arrival estimation is never evicted. Throws (infeasible QoS)
   // propagate to the caller's error path with the orphan intact.
   const std::uint64_t id =
-      service_.subscribe(sub.peer, sub.sender_id, sub.app, sub.qos, {out, since});
-  if (out != orphan.seed.last) ++stats_.snapshot_replayed_transitions;
+      service_.subscribe(sub.peer, sub.sender_id, sub.app, sub.qos, current);
+  if (current.output != orphan.seed.last) ++stats_.snapshot_replayed_transitions;
   drop_orphan(it, /*unsubscribe=*/true);
   ++stats_.orphans_claimed;
   return id;
@@ -442,15 +435,17 @@ void FdaasServer::on_accept() {
       loop_->update_fd(listener_.fd(), net::kFdRead);
     });
   }
+  refresh_obs();
 }
 
 void FdaasServer::on_session_io(std::uint64_t sid, unsigned events) {
+  bool open = true;
   if (events & net::kFdWrite) {
     const auto it = sessions_.find(sid);
-    if (it == sessions_.end()) return;
-    if (!flush(*it->second)) return;  // closed during flush
+    open = it != sessions_.end() && flush(*it->second);  // false: closed
   }
-  if (events & net::kFdRead) on_readable(sid);
+  if (open && (events & net::kFdRead)) on_readable(sid);
+  refresh_obs();
 }
 
 void FdaasServer::on_readable(std::uint64_t sid) {
@@ -557,11 +552,11 @@ bool FdaasServer::handle_message(std::uint64_t sid, ControlMessage msg) {
 
   if (auto* snap = std::get_if<SnapshotRequest>(&msg)) {
     SnapshotReply reply{snap->request_id, {}};
-    const auto view = service_.view();
-    for (const auto& e : view->entries) {
-      if (s.subs.count(e.subscription) == 0) continue;
+    for (const std::uint64_t id : s.subs) {
       if (reply.entries.size() >= kMaxSnapshotEntries) break;
-      reply.entries.push_back({e.subscription, e.output, e.since});
+      if (const auto v = service_.verdict(id)) {
+        reply.entries.push_back({id, v->output, v->since});
+      }
     }
     // Federated subscriptions answer from the adapter's liveness table;
     // a peer with no known state yet defaults to Trust-since-never,

@@ -5,12 +5,15 @@
 // That thread owns every session object and all server counters — the
 // same shard-confinement discipline as the monitoring shards — and is,
 // by construction, the sole caller of ShardedMonitorService::
-// poll_events(), draining transitions on a fixed cadence and pushing
-// them as EVENT frames to the owning sessions. Toward the shards the
-// API thread is an ordinary control-plane client (subscribe/unsubscribe
-// marshal commands and block briefly on the owning shard); no shard
-// thread ever blocks on the API thread, so event delivery can never
-// stall detection. See docs/runtime.md "The FDaaS API thread".
+// poll_events(). It registers its loop's wake() as the service's event
+// notifier: the first transition a shard queues wakes the API thread,
+// which drains every queued transition in its wake handler and pushes
+// them as EVENT frames to the owning sessions — no polling cadence.
+// Toward the shards the API thread is an ordinary control-plane client
+// (subscribe/unsubscribe marshal commands and block briefly on the
+// owning shard); no shard thread ever blocks on the API thread (a
+// wake-up is one eventfd write), so event delivery can never stall
+// detection. See docs/runtime.md "The FDaaS API thread".
 //
 // Sessions are defended in three ways (docs/protocol.md):
 //   * bounded per-session send queues — a client that stops reading is
@@ -54,8 +57,6 @@ class FdaasServer {
     /// Session lease; any well-formed inbound frame renews it. A session
     /// silent for a full lease is expired and its subscriptions released.
     Tick lease = ticks_from_sec(10);
-    /// Cadence of the poll_events() drain (event push latency bound).
-    Tick poll_interval = ticks_from_ms(20);
     /// Per-session cap on unsent bytes; exceeding it evicts the session.
     std::size_t max_send_queue_bytes = 256 * 1024;
     std::size_t max_sessions = 1024;
@@ -67,8 +68,10 @@ class FdaasServer {
     int conn_sndbuf_bytes = 0;
     /// Optional obs registry: the server mirrors its Stats (and its
     /// private event loop's stats) into twfd_api_* / twfd_fed_* metrics
-    /// on every poll tick and records an event-delivery-latency
-    /// histogram. Must outlive the server.
+    /// at the end of every API-loop callback that can change them (wake
+    /// pass, session I/O, accept, lease/snapshot/flush timers) and
+    /// records an event-delivery-latency histogram. Must outlive the
+    /// server.
     obs::Registry* registry = nullptr;
     /// Crash persistence (empty = disabled). start() loads this snapshot
     /// file and re-seeds every persisted subscription — verdicts primed —
@@ -233,6 +236,9 @@ class FdaasServer {
   };
 
   void worker_main();
+  /// Wake handler: runs marshalled commands, then delivers every queued
+  /// shard transition, then refreshes the obs mirror.
+  void on_wake();
   void drain_commands();
   void post(Command cmd);
   void on_accept();
@@ -248,7 +254,6 @@ class FdaasServer {
   bool flush(Session& s);
   void close_session(std::uint64_t sid);
   void expire_leases();
-  void arm_poll_timer();
   void arm_lease_timer();
   void arm_fed_flush_timer();
   /// Fans one applied federated transition out to its subscribers (the
@@ -303,7 +308,6 @@ class FdaasServer {
   std::uint64_t next_session_id_ = 1;
   std::uint64_t seen_resource_failures_ = 0;
   bool accept_parked_ = false;
-  TimerId poll_timer_ = kInvalidTimer;
   TimerId lease_timer_ = kInvalidTimer;
   Stats stats_;
 

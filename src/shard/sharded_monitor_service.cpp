@@ -163,11 +163,6 @@ ShardedMonitorService::ShardedMonitorService(Params params)
     s.bind_port = reuse ? service_port_ : std::uint16_t{0};
     build_shard_runtime(s);
   }
-
-  {
-    std::lock_guard lk(view_mu_);
-    view_ = std::make_shared<const Snapshot>();
-  }
 }
 
 ShardedMonitorService::~ShardedMonitorService() { stop(); }
@@ -212,7 +207,7 @@ void ShardedMonitorService::stop() {
   }
   running_ = false;
   // Discard unexecuted commands — any waiter sees broken_promise rather
-  // than hanging — then fold remaining transitions into the snapshot.
+  // than hanging — then fold remaining transitions into the view.
   for (auto& sp : shards_) {
     Command cmd;
     while (sp->commands.try_pop(cmd)) cmd = nullptr;
@@ -368,18 +363,32 @@ void ShardedMonitorService::post(Shard& s, Command cmd) {
 void ShardedMonitorService::publish_event(Shard& s, StatusEvent event) {
   if (!s.events.try_push(std::move(event))) {
     s.events_dropped.fetch_add(1, std::memory_order_relaxed);
+    return;
   }
+  // Only the first event since the consumer's last pass wakes it; the
+  // rest are drained by that same pass.
+  if (events_signalled_.exchange(true, std::memory_order_acq_rel)) return;
+  std::lock_guard lk(notifier_mu_);
+  if (notifier_) notifier_();
+}
+
+void ShardedMonitorService::set_event_notifier(std::function<void()> notifier) {
+  std::lock_guard lk(notifier_mu_);
+  notifier_ = std::move(notifier);
+  // Events published while no consumer was registered left the flag set
+  // without waking anyone: one kick lets the new consumer drain them.
+  if (notifier_) notifier_();
 }
 
 ShardedMonitorService::SubscriptionId ShardedMonitorService::subscribe(
     const net::SocketAddress& peer, std::uint64_t sender_id, std::string app,
     const config::QosRequirements& qos) {
-  return subscribe(peer, sender_id, std::move(app), qos, Initial{});
+  return subscribe(peer, sender_id, std::move(app), qos, Verdict{});
 }
 
 ShardedMonitorService::SubscriptionId ShardedMonitorService::subscribe(
     const net::SocketAddress& peer, std::uint64_t sender_id, std::string app,
-    const config::QosRequirements& qos, Initial initial) {
+    const config::QosRequirements& qos, Verdict initial) {
   TWFD_CHECK_MSG(running_, "subscribe() requires a started service");
   const std::size_t idx = shard_for(peer);
   Shard& s = *shards_[idx];
@@ -391,7 +400,7 @@ ShardedMonitorService::SubscriptionId ShardedMonitorService::subscribe(
     // starts at its persisted verdict, not at Trust.
     std::lock_guard lk(agg_mu_);
     state_[gid] = {gid, app, initial.output, initial.since, idx};
-    republish_locked();
+    ++version_;
   }
 
   auto prom =
@@ -418,7 +427,7 @@ ShardedMonitorService::SubscriptionId ShardedMonitorService::subscribe(
     // roll the seeded view entry back.
     std::lock_guard lk(agg_mu_);
     state_.erase(gid);
-    republish_locked();
+    ++version_;
     throw;
   }
   std::lock_guard lk(control_mu_);
@@ -452,16 +461,15 @@ void ShardedMonitorService::unsubscribe(SubscriptionId id) {
   }
   std::lock_guard lk(agg_mu_);
   state_.erase(id);
-  republish_locked();
+  ++version_;
 }
 
 std::vector<ShardedMonitorService::SubscriptionSeed>
 ShardedMonitorService::export_seeds() {
-  // Join the control registry (what is subscribed) with the published
-  // view (what each subscription's current verdict is). Both sides are
-  // safe off-shard: the registry under control_mu_, the view as an
-  // immutable snapshot. std::map iteration gives subscription-id order.
-  const auto snap = view();
+  // Join the control registry (what is subscribed) with the aggregated
+  // view (what each subscription's current verdict is). Lock order:
+  // control_mu_, then agg_mu_ inside verdict(); nothing takes them the
+  // other way round. std::map iteration gives subscription-id order.
   std::vector<SubscriptionSeed> seeds;
   std::lock_guard lk(control_mu_);
   seeds.reserve(subs_.size());
@@ -471,14 +479,9 @@ ShardedMonitorService::export_seeds() {
     seed.sender_id = ref.sender_id;
     seed.app = ref.app;
     seed.qos = ref.qos;
-    const auto it = std::lower_bound(
-        snap->entries.begin(), snap->entries.end(), gid,
-        [](const Snapshot::Entry& e, SubscriptionId id) {
-          return e.subscription < id;
-        });
-    if (it != snap->entries.end() && it->subscription == gid) {
-      seed.last = it->output;
-      seed.since = it->since;
+    if (const auto v = verdict(gid)) {
+      seed.last = v->output;
+      seed.since = v->since;
     }
     seeds.push_back(std::move(seed));
   }
@@ -505,35 +508,59 @@ void ShardedMonitorService::reconfigure(const net::SocketAddress& peer) {
 
 std::size_t ShardedMonitorService::poll_events(
     const std::function<void(const StatusEvent&)>& fn) {
-  std::lock_guard lk(agg_mu_);
-  std::size_t drained = 0;
+  std::lock_guard consumer(consumer_mu_);
+  // Clear before draining: an event published from here on either lands
+  // in this pass or finds the flag clear and wakes the consumer again.
+  events_signalled_.exchange(false, std::memory_order_acq_rel);
+  drained_.clear();
   StatusEvent e;
   for (auto& sp : shards_) {
-    while (sp->events.try_pop(e)) {
-      ++drained;
-      ++events_seen_;
-      // Health events (subscription 0) pass through to `fn` but are not
-      // snapshot entries; verdicts update the per-subscription state.
-      const auto it = state_.find(e.subscription);
-      if (it != state_.end()) {
-        it->second.output = e.output;
-        it->second.since = e.when;
-      }
-      if (event_listener_) event_listener_(e);
-      if (fn) fn(e);
-    }
+    while (sp->events.try_pop(e)) drained_.push_back(std::move(e));
   }
-  if (drained > 0) republish_locked();
-  return drained;
+  if (drained_.empty()) return 0;
+  {
+    std::lock_guard lk(agg_mu_);
+    // Health events (subscription 0) pass through to the callbacks but
+    // are not view entries; verdicts update the per-subscription state.
+    for (const StatusEvent& ev : drained_) {
+      const auto it = state_.find(ev.subscription);
+      if (it != state_.end()) {
+        it->second.output = ev.output;
+        it->second.since = ev.when;
+      }
+    }
+    events_seen_ += drained_.size();
+    ++version_;
+  }
+  // Outside agg_mu_: a callback may unsubscribe (the server closes a
+  // session whose socket died mid-delivery), which re-takes agg_mu_.
+  for (const StatusEvent& ev : drained_) {
+    if (event_listener_) event_listener_(ev);
+    if (fn) fn(ev);
+  }
+  return drained_.size();
 }
 
-void ShardedMonitorService::republish_locked() {
-  auto snap = std::make_shared<Snapshot>();
-  snap->entries.reserve(state_.size());
-  for (const auto& [id, entry] : state_) snap->entries.push_back(entry);
-  snap->events_seen = events_seen_;
-  std::lock_guard lk(view_mu_);
-  view_ = std::shared_ptr<const Snapshot>(std::move(snap));
+std::optional<ShardedMonitorService::Verdict> ShardedMonitorService::verdict(
+    SubscriptionId id) const {
+  std::lock_guard lk(agg_mu_);
+  const auto it = state_.find(id);
+  if (it == state_.end()) return std::nullopt;
+  return Verdict{it->second.output, it->second.since};
+}
+
+std::shared_ptr<const ShardedMonitorService::Snapshot> ShardedMonitorService::view()
+    const {
+  std::lock_guard lk(agg_mu_);
+  if (!view_cache_ || view_cache_version_ != version_) {
+    auto snap = std::make_shared<Snapshot>();
+    snap->entries.reserve(state_.size());
+    for (const auto& [id, entry] : state_) snap->entries.push_back(entry);
+    snap->events_seen = events_seen_;
+    view_cache_ = std::move(snap);
+    view_cache_version_ = version_;
+  }
+  return view_cache_;
 }
 
 // --- Supervision -----------------------------------------------------------
@@ -625,22 +652,12 @@ bool ShardedMonitorService::restart_shard(Shard& s) {
       if (ref.shard == s.index) owned.emplace_back(gid, ref);
     }
   }
-  // Prime each re-seed from the verdict the view retained. Without this a
-  // subscription the view holds at Suspect gets a fresh detector that
-  // believes Trust: a live peer then never produces a Trust *transition*
-  // event, so the view would stay Suspect forever.
-  std::map<SubscriptionId, detect::Output> retained;
-  {
-    std::lock_guard lk(agg_mu_);
-    for (const auto& [gid, ref] : owned) {
-      const auto it = state_.find(gid);
-      if (it != state_.end()) retained[gid] = it->second.output;
-    }
-  }
   for (auto& [gid, ref] : owned) {
-    const auto rit = retained.find(gid);
-    const detect::Output last =
-        rit != retained.end() ? rit->second : detect::Output::Trust;
+    // Prime each re-seed from the verdict the view retained. Without this
+    // a subscription the view holds at Suspect gets a fresh detector that
+    // believes Trust: a live peer then never produces a Trust
+    // *transition* event, so the view would stay Suspect forever.
+    const detect::Output last = verdict(gid).value_or(Verdict{}).output;
     try {
       const auto local = s.fd->subscribe(
           s.loop->add_peer(ref.peer), ref.sender_id, ref.app, ref.qos,

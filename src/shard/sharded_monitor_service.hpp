@@ -25,9 +25,11 @@
 //      re-injected there, so decoding and detector updates stay
 //      shard-confined.
 //   3. Aggregation: Suspect/Trust transitions flow out through per-shard
-//      MPSC event queues, drained by poll_events() into an immutable
-//      global view snapshot; view() hands readers the current snapshot
-//      pointer under a short mutex.
+//      MPSC event queues. The first event after a drain pass wakes the
+//      registered consumer (set_event_notifier), which drains them with
+//      poll_events() into the aggregated per-subscription state. Readers
+//      take a point lookup (verdict()) or a whole-view Snapshot built on
+//      demand and cached until the state next changes (view()).
 //
 // Self-healing (Params::supervision): each worker loop advances a
 // per-shard liveness counter once per slice; a supervisor thread watches
@@ -59,6 +61,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -149,7 +152,7 @@ class ShardedMonitorService {
   /// Subscription id carried by shard health events: Suspect = the named
   /// shard is degraded (stalled or crashed), Trust = it recovered. The
   /// event's `app` is "shard-N". Health events flow through poll_events()
-  /// like verdicts but never appear in the snapshot's entry list.
+  /// like verdicts but never appear in the aggregated view.
   static constexpr SubscriptionId kHealthSubscription = 0;
 
   /// A Suspect/Trust transition, stamped with the owning shard.
@@ -161,8 +164,7 @@ class ShardedMonitorService {
     std::size_t shard = 0;
   };
 
-  /// Immutable global view published by poll_events(); readers obtain
-  /// the current snapshot pointer via view().
+  /// Immutable copy of the aggregated view, as returned by view().
   struct Snapshot {
     struct Entry {
       SubscriptionId subscription = 0;
@@ -234,7 +236,7 @@ class ShardedMonitorService {
   void start();
   /// Stops the supervisor, then every shard loop; joins the workers,
   /// discards unexecuted commands (their waiters see broken_promise) and
-  /// drains remaining events into the snapshot. Idempotent. Do not race
+  /// drains remaining events into the aggregated view. Idempotent. Do not race
   /// control-plane calls against stop().
   void stop();
   [[nodiscard]] bool running() const noexcept { return running_; }
@@ -248,22 +250,25 @@ class ShardedMonitorService {
     return shard_of(addr, shards_.size());
   }
 
-  /// Prior-incarnation verdict used to prime a subscription re-created
-  /// from a crash-persisted seed (snapshot restore, shard re-seed). The
-  /// aggregated view starts at `output`/`since` and the shard-local
-  /// detector is primed to match, so a restored subscription emits only
-  /// the NET transition relative to the previous incarnation — no
-  /// duplicate Suspect for a peer that was already down, exactly one
-  /// Trust when a suspected peer turns out to be alive.
-  struct Initial {
+  /// One subscription's verdict in the aggregated view (verdict()).
+  ///
+  /// As subscribe()'s `initial` argument it is the prior-incarnation
+  /// verdict that primes a subscription re-created from a crash-persisted
+  /// seed (snapshot restore, shard re-seed). The aggregated view starts
+  /// at `output`/`since` and the shard-local detector is primed to match,
+  /// so a restored subscription emits only the NET transition relative to
+  /// the previous incarnation — no duplicate Suspect for a peer that was
+  /// already down, exactly one Trust when a suspected peer turns out to
+  /// be alive.
+  struct Verdict {
     detect::Output output = detect::Output::Trust;
-    Tick since = 0;
+    Tick since = 0;  ///< instant of the last transition (0 = none yet)
   };
 
   /// Portable description of one live subscription joined with its
   /// current verdict — the unit of crash persistence. export_seeds()
   /// captures every subscription; import_seed() re-creates one with the
-  /// verdict primed (see Initial).
+  /// verdict primed (see Verdict).
   struct SubscriptionSeed {
     net::SocketAddress peer;
     std::uint64_t sender_id = 0;
@@ -285,12 +290,12 @@ class ShardedMonitorService {
                            std::string app, const config::QosRequirements& qos);
   SubscriptionId subscribe(const net::SocketAddress& peer, std::uint64_t sender_id,
                            std::string app, const config::QosRequirements& qos,
-                           Initial initial);
+                           Verdict initial);
   void unsubscribe(SubscriptionId id);
 
   /// Snapshot of every live subscription joined with its current view
   /// verdict, in subscription-id order. Safe from any thread while the
-  /// service runs (control registry + published view; no shard marshal).
+  /// service runs (control registry + aggregated view; no shard marshal).
   [[nodiscard]] std::vector<SubscriptionSeed> export_seeds();
   /// Re-creates a persisted subscription with its verdict primed.
   /// Equivalent to subscribe(peer, ..., {seed.last, seed.since}).
@@ -300,9 +305,12 @@ class ShardedMonitorService {
 
   // --- Aggregation ---
 
-  /// Drains every shard's event queue into the global view and publishes
-  /// a fresh snapshot; `fn` (optional) observes each event in shard-major
-  /// order. Serialized internally; returns the number of events drained.
+  /// Drains every shard's event queue into the aggregated view; `fn`
+  /// (optional) observes each event in shard-major order. The view is
+  /// updated under the aggregation lock, but the listener and `fn` run
+  /// after it is released, so they may call back into subscribe() and
+  /// unsubscribe() (but not poll_events()). Drains are serialized, so
+  /// callbacks see events in order. Returns the number of events drained.
   std::size_t poll_events(const std::function<void(const StatusEvent&)>& fn = {});
 
   /// Standing per-event export hook, invoked from poll_events() for
@@ -315,14 +323,24 @@ class ShardedMonitorService {
     event_listener_ = std::move(listener);
   }
 
-  /// Latest published snapshot (never null after construction). Copies
-  /// the current pointer under a short mutex — held only for the copy,
-  /// never while a snapshot is being built — so the caller reads the
-  /// immutable Snapshot without further synchronisation.
-  [[nodiscard]] std::shared_ptr<const Snapshot> view() const {
-    std::lock_guard lk(view_mu_);
-    return view_;
-  }
+  /// Registers the single event consumer's wake-up. When an event lands
+  /// in a drained queue set, `notifier` runs once, on the publishing
+  /// thread (a shard worker or the supervisor); further events ride that
+  /// wake-up until the next poll_events() pass begins. It must be cheap
+  /// and must not block, e.g. EventLoop::wake(). Registration calls it
+  /// once, so events queued earlier are not stranded. Safe while shards
+  /// run; an empty function clears it, and no call is in flight once
+  /// the clearing call returns.
+  void set_event_notifier(std::function<void()> notifier);
+
+  /// Current verdict of one subscription (nullopt once unsubscribed or
+  /// never known). A point lookup under the aggregation lock.
+  [[nodiscard]] std::optional<Verdict> verdict(SubscriptionId id) const;
+
+  /// The whole aggregated view as an immutable Snapshot. Built on demand
+  /// (O(subscriptions)) and cached until the view next changes, so
+  /// repeated reads between changes share one copy.
+  [[nodiscard]] std::shared_ptr<const Snapshot> view() const;
 
   // --- Supervision ---
 
@@ -424,7 +442,6 @@ class ShardedMonitorService {
   /// wake() under swap_mu: safe against a concurrent runtime rebuild.
   void wake_shard(Shard& s);
   void publish_event(Shard& s, StatusEvent event);
-  void republish_locked();
   [[nodiscard]] ShardStats collect_stats_on_shard(Shard& s) const;
   [[nodiscard]] ShardStats collect_supervision_stats(Shard& s) const;
 
@@ -464,19 +481,33 @@ class ShardedMonitorService {
   std::condition_variable sup_cv_;
   bool sup_stop_ = false;
 
-  // Aggregation state: agg_mu_ serializes the single logical consumer of
-  // the per-shard event queues; view_mu_ guards only the published
-  // pointer and is held for a pointer copy, never while building a
-  // snapshot. (std::atomic<std::shared_ptr> would make readers wait-free,
-  // but libstdc++'s _Sp_atomic releases its embedded spin-lock with
-  // relaxed ordering, which ThreadSanitizer cannot model — concurrent
-  // load/store would report a false race.)
-  std::mutex agg_mu_;
+  // Aggregation state. agg_mu_ guards state_ (the single source of truth
+  // for verdicts), its version and the view() cache; it is held for a map
+  // update or lookup per event or call (for O(n) only while view()
+  // rebuilds its cache), never while a callback runs. consumer_mu_
+  // serializes poll_events() passes and owns the drain batch, so events
+  // reach the listener in order even though they are delivered outside
+  // agg_mu_.
+  mutable std::mutex agg_mu_;
   std::map<SubscriptionId, Snapshot::Entry> state_;
   std::uint64_t events_seen_ = 0;
+  std::uint64_t version_ = 0;  ///< bumped on every change to state_
+  mutable std::shared_ptr<const Snapshot> view_cache_;
+  mutable std::uint64_t view_cache_version_ = 0;
+  std::mutex consumer_mu_;
+  std::vector<StatusEvent> drained_;
   std::function<void(const StatusEvent&)> event_listener_;
-  mutable std::mutex view_mu_;
-  std::shared_ptr<const Snapshot> view_;
+
+  // Consumer wake-up. events_signalled_ is set by the publish that finds
+  // it clear (that publisher calls notifier_) and cleared by the consumer
+  // as a poll_events() pass begins, so a burst costs one wake per pass.
+  // Both sides use RMW exchanges: whichever comes second in the flag's
+  // modification order sees the other, so no event is stranded.
+  std::atomic<bool> events_signalled_{false};
+  /// Guards notifier_ and is held across each call, so clearing the
+  /// notifier waits out a call in flight.
+  std::mutex notifier_mu_;
+  std::function<void()> notifier_;
 };
 
 }  // namespace twfd::shard

@@ -15,10 +15,13 @@
 #include <gtest/gtest.h>
 
 #include <poll.h>
+#include <sys/socket.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <functional>
+#include <future>
 #include <memory>
 #include <optional>
 #include <string>
@@ -27,6 +30,7 @@
 
 #include "api/client.hpp"
 #include "net/event_loop.hpp"
+#include "obs/metrics.hpp"
 #include "service/dispatcher.hpp"
 #include "service/heartbeat_sender.hpp"
 #include "shard/sharded_monitor_service.hpp"
@@ -198,7 +202,7 @@ TEST(FdaasServer, TwoClientsDifferentQosDetectCrashAndRecovery) {
       << "both subscribers must be told about the crash";
 
   // Wall-clock detection bound per application: T_D^U plus scheduler
-  // slack (heartbeat cadence + poll cadence + CI/TSan stalls).
+  // slack (heartbeat cadence + CI/TSan stalls).
   const double kSlackS = 2.0;
   const double a_detect_s = static_cast<double>(a.suspect_at_ns() - crash_ns) / 1e9;
   const double b_detect_s = static_cast<double>(b.suspect_at_ns() - crash_ns) / 1e9;
@@ -230,6 +234,63 @@ TEST(FdaasServer, TwoClientsDifferentQosDetectCrashAndRecovery) {
   EXPECT_EQ(stats.lease_expiries, 0u);
 
   revived.reset();
+  server.stop();
+  service.stop();
+}
+
+/// The API loop's wake-up counters as mirrored into `registry`.
+struct ApiWakeups {
+  std::uint64_t timer = 0;
+  std::uint64_t cross = 0;
+};
+
+ApiWakeups api_wakeups(api::FdaasServer& server, obs::Registry& registry) {
+  // Read on the API thread, where no refresh is in flight: the mirror is
+  // as of the last completed loop callback.
+  const auto read = [&](const char* cause) {
+    return registry
+        .counter("twfd_loop_wakeups_total", "poll() returns by wake cause.",
+                 obs::make_labels({{"loop", "api"}}) + ",cause=\"" + cause + "\"")
+        .value();
+  };
+  ApiWakeups w;
+  server.run_on_api_thread([&] { w = {read("timer"), read("cross")}; });
+  return w;
+}
+
+// Verdict delivery is event-driven: the shard that queues the Suspect
+// wakes the API thread. With a lease long enough that its sweep cannot
+// fire, the API loop has no timer at all, yet the crash still reaches
+// the client.
+TEST(FdaasServer, CrashReachesClientWithoutApiTimerWakeups) {
+  obs::Registry registry;
+  ShardedMonitorService service({.shards = 2});
+  service.start();
+  api::FdaasServer server(service,
+                          {.lease = ticks_from_sec(3600), .registry = &registry});
+  server.start();
+
+  auto beacon = std::make_unique<Beacon>(1, service.port());
+  constexpr double kTd = 0.8;
+  Subscriber sub(server.port(), beacon->address(), 1, "app", {kTd, 1e-3, 4.0});
+  ASSERT_TRUE(wait_until([&] { return sub.ready(); }, std::chrono::milliseconds(5000)));
+  std::this_thread::sleep_for(std::chrono::milliseconds(1200));
+  ASSERT_EQ(sub.suspect_at_ns(), 0);
+
+  const ApiWakeups before = api_wakeups(server, registry);
+  const std::int64_t crash_ns = now_ns();
+  beacon->crash();
+  ASSERT_TRUE(wait_until([&] { return sub.suspect_at_ns() != 0; },
+                         std::chrono::milliseconds(8000)))
+      << "the crash must reach the client";
+  const ApiWakeups after = api_wakeups(server, registry);
+
+  EXPECT_EQ(after.timer - before.timer, 0u) << "delivery must not wait for a timer";
+  EXPECT_GT(after.cross, before.cross) << "the shard's wake-up drove delivery";
+  EXPECT_LT(static_cast<double>(sub.suspect_at_ns() - crash_ns) / 1e9, kTd + 2.0);
+
+  sub.join();
+  EXPECT_FALSE(sub.pump_failed());
   server.stop();
   service.stop();
 }
@@ -408,6 +469,66 @@ TEST(FdaasServer, SlowClientIsEvictedWithoutHurtingHealthyOne) {
 
   stop.store(true, std::memory_order_release);
   healthy_thread.join();
+  server.stop();
+  service.stop();
+}
+
+// A session whose client reset the connection is closed by the very
+// delivery that finds the socket dead: deliver -> send_frame ->
+// close_session -> unsubscribe, all inside poll_events(). That chain must
+// not re-enter a lock poll_events() holds, or the API thread wedges.
+TEST(FdaasServer, SessionClosedDuringEventDeliveryDoesNotWedge) {
+  ShardedMonitorService service({.shards = 2});
+  service.start();
+  api::FdaasServer server(service, {});
+  server.start();
+
+  // Subscribe to a silent peer: its Suspect falls due ~T_D^U later.
+  auto conn = net::TcpConn::connect(net::SocketAddress::loopback(server.port()),
+                                    ticks_from_sec(5));
+  ASSERT_TRUE(conn.has_value());
+  raw_send(*conn, api::encode_frame(api::SubscribeRequest{
+                      1, net::SocketAddress::loopback(23500), 4, "doomed",
+                      {0.8, 1e-3, 4.0}}));
+  api::FrameAssembler rx;
+  const auto ack = raw_read_frame(*conn, rx, std::chrono::milliseconds(5000));
+  ASSERT_TRUE(ack.has_value());
+  const auto* ok = std::get_if<api::SubscribeOk>(&*ack);
+  ASSERT_NE(ok, nullptr);
+  const std::uint64_t doomed = ok->subscription_id;
+
+  // Hold the API thread while the client resets its connection and the
+  // Suspect is queued. The wake pass that delivers the Suspect is then
+  // the first to touch the dead socket, so the session closes from
+  // inside event delivery, not from the read path.
+  server.run_on_api_thread([&] {
+    const linger reset{1, 0};
+    ::setsockopt(conn->fd(), SOL_SOCKET, SO_LINGER, &reset, sizeof reset);
+    conn->close();
+    std::this_thread::sleep_for(std::chrono::milliseconds(2500));
+  });
+
+  // stats() from a helper thread: a wedged API thread never answers, so
+  // fail fast rather than hang the suite on it.
+  const auto stats_or_die = [&server] {
+    std::promise<api::FdaasServer::Stats> answer;
+    auto answered = answer.get_future();
+    std::thread asker([&] { answer.set_value(server.stats()); });
+    if (answered.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
+      ADD_FAILURE() << "API thread wedged closing a session during delivery";
+      std::_Exit(EXIT_FAILURE);
+    }
+    asker.join();
+    return answered.get();
+  };
+  EXPECT_TRUE(wait_until([&] { return stats_or_die().sessions_active == 0; },
+                         std::chrono::milliseconds(10000)));
+  const auto stats = stats_or_die();
+  EXPECT_EQ(stats.subscriptions_active, 0u);
+  EXPECT_GE(stats.disconnects, 1u);
+  EXPECT_FALSE(service.verdict(doomed).has_value())
+      << "the closed session's subscription must be released";
+
   server.stop();
   service.stop();
 }

@@ -17,9 +17,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -164,6 +166,179 @@ TEST(ShardedService, UnsubscribeRemovesEntryFromView) {
   svc.unsubscribe(id);
   EXPECT_TRUE(svc.view()->entries.empty());
   svc.unsubscribe(id);  // unknown id: no-op
+  svc.stop();
+}
+
+TEST(ShardedService, ViewIsCachedUntilTheStateChanges) {
+  ShardedMonitorService svc({.shards = 2});
+  svc.start();
+  const auto empty = svc.view();
+  EXPECT_EQ(svc.view().get(), empty.get()) << "unchanged state must reuse the cache";
+
+  const auto id = svc.subscribe(net::SocketAddress::loopback(23001), 9, "cached", kQos);
+  const auto one = svc.view();
+  EXPECT_NE(one.get(), empty.get());
+  EXPECT_TRUE(empty->entries.empty()) << "a handed-out snapshot is immutable";
+  ASSERT_EQ(one->entries.size(), 1u);
+  const auto v = svc.verdict(id);
+  ASSERT_TRUE(v.has_value());
+  EXPECT_EQ(v->output, detect::Output::Trust);
+  EXPECT_EQ(v->since, 0);
+
+  svc.unsubscribe(id);
+  EXPECT_FALSE(svc.verdict(id).has_value());
+  EXPECT_TRUE(svc.view()->entries.empty());
+  svc.stop();
+}
+
+/// Counts set_event_notifier() calls; wait_for() blocks until the count
+/// reaches a target.
+class NotifyCounter {
+ public:
+  std::function<void()> notifier() {
+    return [this] {
+      std::lock_guard lk(mu_);
+      ++count_;
+      cv_.notify_all();
+    };
+  }
+  [[nodiscard]] std::uint64_t count() {
+    std::lock_guard lk(mu_);
+    return count_;
+  }
+  /// Waits until count() > `seen`; returns the new count (or `seen` on
+  /// timeout).
+  std::uint64_t wait_past(std::uint64_t seen, std::chrono::milliseconds timeout) {
+    std::unique_lock lk(mu_);
+    cv_.wait_for(lk, timeout, [&] { return count_ > seen; });
+    return count_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::uint64_t count_ = 0;
+};
+
+// A subscription to a silent peer is suspected once its bootstrap
+// deadline passes. The shard's Suspect must wake the consumer on its own
+// — nothing polls here until the notification has arrived.
+TEST(ShardedService, TransitionWakesTheConsumerWithoutPolling) {
+  ShardedMonitorService svc({.shards = 2});
+  svc.start();
+  NotifyCounter wakes;
+  svc.set_event_notifier(wakes.notifier());
+  EXPECT_EQ(wakes.count(), 1u) << "registration kicks the consumer once";
+  EXPECT_EQ(svc.poll_events(), 0u);
+
+  const auto id = svc.subscribe(net::SocketAddress::loopback(23002), 3, "silent", kQos);
+  EXPECT_EQ(wakes.wait_past(1, std::chrono::milliseconds(8000)), 2u)
+      << "the Suspect must notify the consumer";
+
+  std::vector<ShardedMonitorService::StatusEvent> seen;
+  svc.poll_events([&](const auto& e) { seen.push_back(e); });
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0].subscription, id);
+  EXPECT_EQ(seen[0].output, detect::Output::Suspect);
+  EXPECT_EQ(svc.verdict(id)->output, detect::Output::Suspect);
+  svc.set_event_notifier({});
+  svc.stop();
+}
+
+// Transitions queued between two drains cost one wake-up: the first
+// publish notifies, the rest ride it. A drain re-arms the notification.
+TEST(ShardedService, BurstBetweenDrainsNotifiesOnce) {
+  constexpr std::size_t kPeers = 8;
+  ShardedMonitorService svc({.shards = 4});
+  svc.start();
+  NotifyCounter wakes;
+  svc.set_event_notifier(wakes.notifier());
+  svc.poll_events();  // consume the registration kick
+
+  std::set<ShardedMonitorService::SubscriptionId> ids;
+  for (std::uint16_t i = 0; i < kPeers; ++i) {
+    ids.insert(svc.subscribe(net::SocketAddress::loopback(23010 + i), 1,
+                             "burst" + std::to_string(i), kQos));
+  }
+  ASSERT_EQ(wakes.wait_past(1, std::chrono::milliseconds(8000)), 2u);
+  // Every silent peer's deadline falls within a few ms of the first one;
+  // give them ample time to all fire, still without polling.
+  std::this_thread::sleep_for(std::chrono::milliseconds(2500));
+  EXPECT_EQ(wakes.count(), 2u) << "one wake-up for the whole burst";
+
+  std::size_t suspects = 0;
+  svc.poll_events([&](const auto& e) {
+    if (ids.count(e.subscription) != 0 && e.output == detect::Output::Suspect) {
+      ++suspects;
+    }
+  });
+  EXPECT_EQ(suspects, kPeers);
+
+  // After the drain the next transition notifies again.
+  svc.subscribe(net::SocketAddress::loopback(23010 + kPeers), 1, "after", kQos);
+  EXPECT_EQ(wakes.wait_past(2, std::chrono::milliseconds(8000)), 3u);
+  svc.set_event_notifier({});
+  svc.stop();
+}
+
+// Producer/consumer stress: four shard threads publish Suspects while a
+// consumer drains ONLY when notified. A stranded event — queued behind a
+// signal nobody acts on — would leave the consumer short forever.
+TEST(ShardedService, NotifierStressNeverStrandsAnEvent) {
+  constexpr std::size_t kWaves = 8;
+  constexpr std::size_t kPerWave = 50;
+  constexpr std::size_t kPeers = kWaves * kPerWave;
+  ShardedMonitorService svc({.shards = 4});
+  svc.start();
+
+  NotifyCounter wakes;
+  std::atomic<bool> stop{false};
+  std::atomic<std::size_t> suspects{0};
+  std::atomic<std::size_t> passes{0};
+  std::thread consumer([&] {
+    std::uint64_t handled = 0;
+    while (!stop.load(std::memory_order_acquire)) {
+      const std::uint64_t now = wakes.wait_past(handled, std::chrono::milliseconds(50));
+      if (now == handled) continue;
+      handled = now;
+      passes.fetch_add(1, std::memory_order_relaxed);
+      svc.poll_events([&](const auto& e) {
+        if (e.output == detect::Output::Suspect &&
+            e.subscription != ShardedMonitorService::kHealthSubscription) {
+          suspects.fetch_add(1, std::memory_order_relaxed);
+        }
+      });
+    }
+  });
+  svc.set_event_notifier(wakes.notifier());
+
+  // Staggered waves spread the deadlines, so publishes from all shards
+  // interleave with drain passes already under way.
+  std::vector<ShardedMonitorService::SubscriptionId> ids;
+  for (std::size_t w = 0; w < kWaves; ++w) {
+    for (std::size_t i = 0; i < kPerWave; ++i) {
+      const auto port = static_cast<std::uint16_t>(23100 + w * kPerWave + i);
+      ids.push_back(svc.subscribe(net::SocketAddress::loopback(port), 1,
+                                  "stress" + std::to_string(port), kQos));
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  }
+
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (suspects.load() < kPeers && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  stop.store(true, std::memory_order_release);
+  consumer.join();
+  svc.set_event_notifier({});
+
+  EXPECT_EQ(suspects.load(), kPeers) << "an event was stranded without a wake-up";
+  EXPECT_LE(passes.load(), wakes.count());
+  std::size_t suspected = 0;
+  for (const auto id : ids) {
+    if (svc.verdict(id)->output == detect::Output::Suspect) ++suspected;
+  }
+  EXPECT_EQ(suspected, kPeers) << "the view must hold every drained verdict";
   svc.stop();
 }
 
